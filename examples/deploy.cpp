@@ -1,8 +1,9 @@
 // Multi-process SMaRt-SCADA deployment over real UDP sockets.
 //
-// Launches one OS process per role — n = 3f+1 replicas (each a ProxyMaster:
-// BFT replica + Adapter + deterministic SCADA Master), a Frontend (with its
-// ProxyFrontend and Modbus field driver), an HMI (with its ProxyHMI), and a
+// Launches one OS process per role — n replicas (3f+1, or 2f+1 with
+// SS_PROTOCOL=minbft), each a core::ProxyMaster (BFT replica + Adapter +
+// deterministic SCADA Master), a Frontend (with its ProxyFrontend and
+// Modbus field driver), an HMI (with its ProxyHMI), and a
 // simulated RTU — all wired through net::SocketTransport and a shared
 // name -> host:port config file. The exact component classes that run on
 // the deterministic simulator run here unchanged; only the Transport
@@ -63,14 +64,9 @@
 #include <string>
 #include <vector>
 
-#include "bft/client.h"
-#include "bft/replica.h"
 #include "common/logging.h"
-#include "core/adapter.h"
-#include "core/nodes.h"
-#include "core/proxies.h"
-#include "core/replicated_deployment.h"
 #include "core/restart_budget.h"
+#include "core/roles.h"
 #include "core/runner.h"
 #include "core/scada_link.h"
 #include "crypto/keychain.h"
@@ -81,9 +77,6 @@
 #include "rtu/driver.h"
 #include "rtu/rtu.h"
 #include "rtu/sensors.h"
-#include "scada/frontend.h"
-#include "scada/hmi.h"
-#include "scada/master.h"
 #include "storage/checkpoint.h"
 #include "storage/env.h"
 #include "storage/replica_storage.h"
@@ -92,14 +85,9 @@ using namespace ss;
 
 namespace {
 
-// The replicated data points, registered in the same order in every process
-// (ids are dense by registration order, so they agree system-wide).
-constexpr ItemId kTemperature{1};
-constexpr ItemId kSetpoint{2};
-const char* kTemperatureName = "plant/reactor/temperature";
-const char* kSetpointName = "plant/reactor/setpoint";
+using core::reactor::kSetpoint;
+using core::reactor::kTemperature;
 const char* kRtuEndpoint = "rtu/0";
-const char* kGroupSecret = "smart-scada-secret";
 
 constexpr std::uint16_t kTemperatureReg = 5;
 constexpr std::uint16_t kSetpointReg = 7;
@@ -110,19 +98,6 @@ volatile sig_atomic_t g_dump = 0;
 void handle_stop(int) { g_stop = 1; }
 void handle_snapshot(int) { g_snapshot = 1; }
 void handle_dump(int) { g_dump = 1; }
-
-/// The one place every role derives its group from: SS_PROTOCOL selects the
-/// agreement engine (pbft, the default, runs 3f+1 processes; minbft runs
-/// 2f+1), and the environment propagates to spawned children, so `deploy
-/// local`, each replica, the frontend, and the HMI all agree on n without
-/// any extra plumbing.
-GroupConfig group_from_env(std::uint32_t f) {
-  Protocol protocol = Protocol::kPbft;
-  if (const char* name = std::getenv("SS_PROTOCOL")) {
-    protocol = parse_protocol(name);
-  }
-  return GroupConfig::for_protocol(protocol, f);
-}
 
 void install_stop_handler() {
   struct sigaction sa{};
@@ -288,31 +263,7 @@ int run_replica(const std::string& config, GroupConfig group,
                 std::uint32_t id) {
   install_stop_handler();
   net::SocketTransport transport = make_transport(config);
-  crypto::Keychain keys(kGroupSecret);
-
-  scada::MasterOptions master_options;
-  master_options.deterministic = true;  // timestamps come from agreement
-  scada::ScadaMaster master(std::move(master_options));
-  ItemId temperature = master.add_item(kTemperatureName);
-  master.add_item(kSetpointName);
-  // SS_ALARM_THRESHOLD attaches a Monitor to the temperature point, so the
-  // AE subsystem (alarm persisted + EventUpdate pushed to the HMI) is live
-  // in socket mode — the fig8b alarm-storm bench drives this path.
-  if (const char* threshold = std::getenv("SS_ALARM_THRESHOLD")) {
-    master.handlers(temperature)
-        .emplace<scada::MonitorHandler>(
-            scada::MonitorHandler::Condition::kAbove,
-            std::strtod(threshold, nullptr));
-  }
-
-  core::AdapterOptions adapter_options;
-  adapter_options.write_timeout = millis(800);
-  core::Adapter adapter(transport, group, ReplicaId{id}, keys, master,
-                        adapter_options);
-  adapter.register_client(core::kHmiEndpoint,
-                          ClientId{core::kProxyHmiClient});
-  adapter.register_client(core::kFrontendEndpoint,
-                          ClientId{core::kProxyFrontendClient});
+  crypto::Keychain keys(core::kGroupSecret);
 
   bft::ReplicaOptions replica_options;  // zero CPU costs: real CPUs are real
   if (const char* interval = std::getenv("SS_CHECKPOINT_INTERVAL")) {
@@ -321,40 +272,40 @@ int run_replica(const std::string& config, GroupConfig group,
       replica_options.checkpoint_interval = static_cast<std::uint64_t>(parsed);
     }
   }
-  // Declared (and with SS_STATE_DIR, constructed) before the replica: the
-  // storage must outlive it, and it must be present at construction — the
-  // MinBFT engine reads its durable USIG counter lease before the first
-  // message, so the deprecated set_storage shim would be too late.
+  // With SS_STATE_DIR the replica keeps a WAL + checkpoints on disk; the
+  // env outlives the ProxyMaster, which owns the storage.
   storage::PosixEnv storage_env;
-  std::unique_ptr<storage::ReplicaStorage> storage;
-  const char* state_root = std::getenv("SS_STATE_DIR");
-  if (state_root != nullptr) {
-    const std::string dir =
-        std::string(state_root) + "/replica-" + std::to_string(id);
-    storage = std::make_unique<storage::ReplicaStorage>(
-        storage_env, dir, "storage/replica-" + std::to_string(id));
-    replica_options.storage = storage.get();
+  std::unique_ptr<storage::ReplicaStorage> state;
+  if (const char* state_root = std::getenv("SS_STATE_DIR")) {
+    state = std::make_unique<storage::ReplicaStorage>(
+        storage_env, std::string(state_root) + "/replica-" + std::to_string(id),
+        "storage/replica-" + std::to_string(id));
   }
-  bft::Replica replica(transport, group, ReplicaId{id}, keys, adapter,
-                       adapter, replica_options);
-  adapter.attach_replica(&replica);
+  core::ProxyMaster proxy_master(transport, group, ReplicaId{id}, keys, {}, {},
+                                 replica_options, {}, std::move(state));
+  scada::ScadaMaster& master = proxy_master.master();
+  bft::Replica& replica = proxy_master.replica();
+  storage::ReplicaStorage* storage = proxy_master.storage();
+  core::reactor::add_points(master);
+  // SS_ALARM_THRESHOLD attaches a Monitor to the temperature point, so the
+  // AE subsystem (alarm persisted + EventUpdate pushed to the HMI) is live
+  // in socket mode — the fig8b alarm-storm bench drives this path.
+  if (const char* threshold = std::getenv("SS_ALARM_THRESHOLD")) {
+    master.handlers(kTemperature)
+        .emplace<scada::MonitorHandler>(
+            scada::MonitorHandler::Condition::kAbove,
+            std::strtod(threshold, nullptr));
+  }
 
   // SS_RUNNER=pooled:<N> fans HMAC/codec work out to N workers; results
-  // drain back on the poll thread via the runner's eventfd. Constructed
-  // after the replica so its destructor (stop + join workers) runs first —
-  // no task can touch the replica once it is gone.
-  std::unique_ptr<core::Runner> runner =
-      core::make_runner_from_env("replica-" + std::to_string(id));
-  replica.set_runner(runner.get());
-  if (runner->notify_fd() >= 0) {
-    transport.add_pollable(runner->notify_fd(), [&] { runner->drain(); });
+  // drain back on the poll thread via the runner's eventfd.
+  core::Runner& runner = proxy_master.set_runner(
+      core::make_runner_from_env("replica-" + std::to_string(id)));
+  if (runner.notify_fd() >= 0) {
+    transport.add_pollable(runner.notify_fd(), [&] { runner.drain(); });
     std::fprintf(stderr, "[replica/%u] runner: %u workers\n", id,
-                 runner->workers());
+                 runner.workers());
   }
-
-  bft::ClientProxy timeout_client(
-      transport, group, ClientId{core::kAdapterClientBase + id}, keys);
-  adapter.attach_timeout_client(&timeout_client);
 
   // With SS_STATE_DIR set, every decided batch hits an fsync'd WAL before it
   // executes and checkpoints go to disk; a restarted process rebuilds its
@@ -396,24 +347,11 @@ int run_replica(const std::string& config, GroupConfig group,
 int run_frontend(const std::string& config, GroupConfig group) {
   install_stop_handler();
   net::SocketTransport transport = make_transport(config);
-  crypto::Keychain keys(kGroupSecret);
+  crypto::Keychain keys(core::kGroupSecret);
 
-  scada::Frontend frontend(scada::FrontendOptions{.instance_id = 1});
-  frontend.add_item(kTemperatureName);
-  frontend.add_item(kSetpointName, scada::Variant{20.0});
-
-  core::ProxyOptions proxy_options;
-  proxy_options.endpoint = core::kProxyFrontendEndpoint;
-  proxy_options.component_endpoint = core::kFrontendEndpoint;
-  core::ComponentProxy proxy(transport, group,
-                             ClientId{core::kProxyFrontendClient}, keys,
-                             proxy_options);
-
-  core::FrontendNode node(transport, keys, frontend,
-                          core::NodeOptions{
-                              .endpoint = core::kFrontendEndpoint,
-                              .peer = core::kProxyFrontendEndpoint,
-                          });
+  core::FrontendSide side(transport, group, keys);
+  scada::Frontend& frontend = side.frontend();
+  core::reactor::add_points(frontend);
 
   rtu::RtuDriver driver(transport, frontend,
                         rtu::DriverOptions{.poll_period = millis(100)});
@@ -459,21 +397,10 @@ int run_hmi(const std::string& config, GroupConfig group,
             std::uint32_t rounds) {
   install_stop_handler();
   net::SocketTransport transport = make_transport(config);
-  crypto::Keychain keys(kGroupSecret);
+  crypto::Keychain keys(core::kGroupSecret);
 
-  scada::Hmi hmi(scada::HmiOptions{.subscriber_name = core::kHmiEndpoint});
-
-  core::ProxyOptions proxy_options;
-  proxy_options.endpoint = core::kProxyHmiEndpoint;
-  proxy_options.component_endpoint = core::kHmiEndpoint;
-  core::ComponentProxy proxy(transport, group, ClientId{core::kProxyHmiClient},
-                             keys, proxy_options);
-
-  core::HmiNode node(transport, keys, hmi,
-                     core::NodeOptions{
-                         .endpoint = core::kHmiEndpoint,
-                         .peer = core::kProxyHmiEndpoint,
-                     });
+  core::HmiSide side(transport, group, keys);
+  scada::Hmi& hmi = side.hmi();
   transport.set_interrupt_check([] { return g_stop != 0; });
   setup_observability(transport, "hmi");
   ObsTeardown teardown{"hmi"};
@@ -715,7 +642,7 @@ struct SuperviseOptions {
 
 int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
               const SuperviseOptions& sup) {
-  const GroupConfig group = group_from_env(f);
+  const GroupConfig group = core::group_from_env(f);
   if (base_port == 0) {
     // Derived from the pid so concurrent CI jobs on one host don't collide.
     base_port = static_cast<std::uint16_t>(40000 + (::getpid() % 8000) * 2);
@@ -1094,7 +1021,7 @@ int main(int argc, char** argv) {
   try {
     if (role == "local") return run_local(argv[0], f, base_port, sup);
     if (role == "config") {
-      std::fputs(make_resolver(group_from_env(f).n, "127.0.0.1",
+      std::fputs(make_resolver(core::group_from_env(f).n, "127.0.0.1",
                                base_port ? base_port : 47000)
                      .to_text()
                      .c_str(),
@@ -1102,7 +1029,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (config.empty()) return usage();
-    const GroupConfig group = group_from_env(f);
+    const GroupConfig group = core::group_from_env(f);
     if (role == "replica") return run_replica(config, group, id);
     if (role == "frontend") return run_frontend(config, group);
     if (role == "hmi") return run_hmi(config, group, sup.rounds);

@@ -15,9 +15,10 @@ int main() {
   core::ReplicatedOptions options;           // defaults: n = 4, f = 1
   core::ReplicatedDeployment scada(options);
 
-  // 2. Register data points (they exist on the Frontend and every Master).
-  ItemId temperature = scada.add_point("plant/reactor/temperature");
-  ItemId setpoint = scada.add_point("plant/reactor/setpoint",
+  // 2. Register data points (they exist on the Frontend and every Master):
+  //    the reactor demo plant's temperature sensor and setpoint.
+  ItemId temperature = scada.add_point(core::reactor::kTemperatureName);
+  ItemId setpoint = scada.add_point(core::reactor::kSetpointName,
                                     scada::Variant{20.0});
 
   // 3. Alarm when the temperature exceeds 90 degrees. Handler chains are

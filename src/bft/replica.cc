@@ -312,7 +312,12 @@ void ReplicaCore::handle_client_request(const Envelope& env,
 
 bool ReplicaCore::already_executed(ClientId client, RequestId seq) const {
   auto it = executed_.find(client.value);
-  return it != executed_.end() && it->second.count(seq.value) > 0;
+  if (it == executed_.end()) return false;
+  const std::set<std::uint64_t>& seqs = it->second;
+  // Below a full window means "forgotten", not "new": a replayed request
+  // that aged out must not execute a second time.
+  return seqs.count(seq.value) > 0 ||
+         (seqs.size() >= kExecutedWindow && seq.value < *seqs.begin());
 }
 
 void ReplicaCore::remember_executed(ClientId client, RequestId seq) {
@@ -320,7 +325,7 @@ void ReplicaCore::remember_executed(ClientId client, RequestId seq) {
   seqs.insert(seq.value);
   // Bound memory: forget the oldest entries; a client that retransmits a
   // request this stale has long since failed its own timeout.
-  while (seqs.size() > 4096) seqs.erase(seqs.begin());
+  while (seqs.size() > kExecutedWindow) seqs.erase(seqs.begin());
 }
 
 void ReplicaCore::enqueue_pending(ClientRequest req) {

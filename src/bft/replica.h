@@ -309,6 +309,9 @@ class ReplicaCore final : private EngineHost {
   std::list<ClientRequest> pending_;
   std::unordered_map<std::uint64_t, std::map<std::uint64_t,
       std::list<ClientRequest>::iterator>> pending_index_;
+  /// Executed sequence numbers kept per client; anything older than the
+  /// oldest entry of a full window counts as executed.
+  static constexpr std::size_t kExecutedWindow = 4096;
   std::unordered_map<std::uint64_t, std::set<std::uint64_t>> executed_;
 
   /// Cached reply payloads for retransmitting clients. Part of the state
