@@ -39,16 +39,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/socket_group.h"
+#include "core/proactive_recovery.h"
 #include "core/replicated_deployment.h"
 #include "load/driver.h"
 #include "load/report.h"
 #include "load/schedule.h"
 #include "obs/metrics.h"
 #include "scada/handlers.h"
+#include "storage/replica_storage.h"
 
 using namespace ss;
 
@@ -193,6 +196,7 @@ class SocketHarness {
       // scratch. Give the group a throwaway state root if none was set.
       char tmpl[] = "/tmp/smart-scada-load-state-XXXXXX";
       if (::mkdtemp(tmpl) != nullptr) {
+        own_state_root_ = tmpl;
         ::setenv("SS_STATE_DIR", tmpl, 1);
         ::setenv("SS_CHECKPOINT_INTERVAL", "16", /*overwrite=*/0);
       }
@@ -203,6 +207,22 @@ class SocketHarness {
             : static_cast<std::uint16_t>(41000 + (::getpid() % 8000) * 2);
     group_ = std::make_unique<bench::SocketGroup>(opt.f, base_port,
                                                    opt.deploy);
+  }
+
+  /// Brings back a proactive victim still down, stops the replicas, and
+  /// removes the state root if this harness created it.
+  ~SocketHarness() {
+    if (proactive_) {
+      if (auto victim = proactive_->stop()) group_->spawn_replica(*victim);
+    }
+    const std::uint32_t n = group_->group().n;
+    group_.reset();
+    if (own_state_root_.empty()) return;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      storage::remove_replica_state_dir(own_state_root_ + "/replica-" +
+                                        std::to_string(i));
+    }
+    ::rmdir(own_state_root_.c_str());
   }
 
   bool warm_up() { return group_->warm_up(); }
@@ -223,7 +243,16 @@ class SocketHarness {
         [&workload](const scada::ItemUpdate& u) { workload.on_update(u); });
 
     net::SocketStats before = transport.stats();
-    std::uint64_t reinc_before = reincarnations_;
+    if (opt_.proactive_period_ms > 0 && !proactive_) {
+      // The period grid starts with the first run, not during warm-up.
+      proactive_.emplace(
+          group_->group().n,
+          core::ProactiveRecoveryOptions{millis(opt_.proactive_period_ms),
+                                         millis(200)},
+          transport.now());
+    }
+    std::uint64_t reinc_before =
+        proactive_ ? proactive_->stats().recoveries : 0;
     load::DriverOptions driver_opt;
     driver_opt.op_timeout = opt_.op_timeout;
     load::OpenLoopDriver driver(
@@ -236,63 +265,51 @@ class SocketHarness {
     driver.start();
     SimTime deadline = transport.now() + schedule_opt.duration +
                        opt_.op_timeout + seconds(5);
-    if (opt_.proactive_period_ms > 0 && next_kill_at_ == 0) {
-      next_kill_at_ = transport.now() + millis(opt_.proactive_period_ms);
-    }
     while (!driver.finished() && transport.now() < deadline) {
       transport.run_until([&] { return driver.finished(); }, millis(50));
-      maybe_reincarnate();
+      poll_proactive();
     }
 
     load::RunRecord record =
         load::RunRecord::from_driver(name, opt_.op, schedule_opt, driver);
     attach_rx_extras(record, before, transport.stats());
-    if (opt_.proactive_period_ms > 0) {
+    if (proactive_) {
       record.extras.emplace_back(
           "proactive_reincarnations",
-          static_cast<double>(reincarnations_ - reinc_before));
+          static_cast<double>(proactive_->stats().recoveries - reinc_before));
     }
     workload.hmi->set_update_callback({});
     return record;
   }
 
  private:
-  /// Proactive recovery under load (--proactive-period): SIGKILL one replica
-  /// round-robin per period and respawn it 200 ms later. With SS_STATE_DIR
-  /// set the restarted process reboots from its checkpoint + WAL and rejoins
-  /// on a fresh session-key epoch — the same policy `deploy --supervise`
-  /// runs with SS_PROACTIVE_PERIOD.
-  void maybe_reincarnate() {
-    if (opt_.proactive_period_ms <= 0) return;
+  /// Proactive recovery under load (--proactive-period): SIGKILL, reap and
+  /// respawn the replica core::ProactiveRecovery names, 200 ms downtime.
+  /// With SS_STATE_DIR set the restarted process reboots from its
+  /// checkpoint + WAL and rejoins on a fresh session-key epoch — the policy
+  /// `deploy --supervise` runs with SS_PROACTIVE_PERIOD.
+  void poll_proactive() {
+    if (!proactive_) return;
     SimTime now = group_->transport().now();
-    if (respawn_at_ != 0 && now >= respawn_at_) {
-      group_->spawn_replica(victim_);
-      respawn_at_ = 0;
-      ++reincarnations_;
+    if (auto victim = proactive_->restore_due(now)) {
+      group_->spawn_replica(*victim);
+    }
+    auto is_down = [this](std::uint32_t i) { return !group_->replica_up(i); };
+    if (auto victim = proactive_->kill_due(now, is_down)) {
+      group_->kill_replica(*victim);
       std::fprintf(stderr,
                    "load_openloop: proactive reincarnation #%llu of "
                    "replica/%u\n",
-                   static_cast<unsigned long long>(reincarnations_), victim_);
-    }
-    if (respawn_at_ == 0 && next_kill_at_ != 0 && now >= next_kill_at_) {
-      victim_ = next_victim_;
-      next_victim_ = (next_victim_ + 1) % group_->group().n;
-      group_->kill_replica(victim_);
-      respawn_at_ = now + millis(200);
-      next_kill_at_ = now + millis(opt_.proactive_period_ms);
+                   (unsigned long long)proactive_->stats().recoveries, *victim);
     }
   }
 
   Options opt_;
+  /// The mkdtemp'd SS_STATE_DIR root, when this harness made one.
+  std::string own_state_root_;
   std::unique_ptr<bench::SocketGroup> group_;
   std::uint64_t run_counter_ = 0;
-
-  // --proactive-period bookkeeping.
-  std::uint32_t next_victim_ = 0;
-  std::uint32_t victim_ = 0;
-  SimTime next_kill_at_ = 0;   ///< 0 until the first run arms the timer
-  SimTime respawn_at_ = 0;     ///< nonzero while a victim is down
-  std::uint64_t reincarnations_ = 0;
+  std::optional<core::ProactiveRecovery> proactive_;
 };
 
 // ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ class SocketGroup {
     pid = -1;
   }
 
+  /// False once replica i was killed or has exited on its own.
+  bool replica_up(std::uint32_t i) {
+    pid_t& pid = replicas_.pids.at(i);
+    if (pid > 0 && ::waitpid(pid, nullptr, WNOHANG) == pid) pid = -1;
+    return pid > 0;
+  }
+
   /// Forks replica i again (after kill_replica).
   void spawn_replica(std::uint32_t i) {
     replicas_.pids.at(i) = replicas_.spawn(i);

@@ -19,6 +19,7 @@
 //                                          dir so restarts recover from disk
 //     [--kill-replica I --kill-after MS]   SIGKILL replica I after MS ms —
 //                                          the crash-restart smoke test
+//                                          (implies --supervise)
 //     [--rounds N]                         N extra HMI write rounds, so
 //                                          there is load during the window
 //     [--campaign SECS]                    rolling-fault soak: the supervisor
@@ -61,10 +62,12 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "core/proactive_recovery.h"
 #include "core/restart_budget.h"
 #include "core/roles.h"
 #include "core/runner.h"
@@ -623,13 +626,27 @@ int audit_state_dirs(const std::string& root, std::uint32_t n, int code) {
 
 void remove_state_dirs(const std::string& root, std::uint32_t n) {
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::string dir = root + "/replica-" + std::to_string(i);
-    for (const char* file : {"/wal", "/wal.tmp", "/snapshot", "/snapshot.tmp"}) {
-      ::unlink((dir + file).c_str());
-    }
-    ::rmdir(dir.c_str());
+    storage::remove_replica_state_dir(root + "/replica-" + std::to_string(i));
   }
   ::rmdir(root.c_str());
+}
+
+/// True once replica process `pid` has installed its SIGTERM handler — from
+/// then on a TERM takes the graceful path, which writes the final checkpoint
+/// — or has already died.
+bool ready_for_term(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("State:", 0) == 0 &&
+        line.find("zombie") != std::string::npos) {
+      return true;
+    }
+    if (line.rfind("SigCgt:", 0) == 0) {
+      return (std::strtoull(line.c_str() + 7, nullptr, 16) >> (SIGTERM - 1)) &
+             1;
+    }
+  }
+  return false;
 }
 
 struct SuperviseOptions {
@@ -638,6 +655,7 @@ struct SuperviseOptions {
   long kill_after_ms = 1500; ///< ...this long after launch
   std::uint32_t rounds = 0;  ///< extra HMI write rounds (load for the window)
   long campaign_secs = 0;    ///< --campaign: rolling-fault soak this long
+  long proactive_period_ms = 0;  ///< SS_PROACTIVE_PERIOD: reincarnation period
 };
 
 int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
@@ -716,14 +734,13 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
     // crash burst — sustained healthy uptime resets the budget, see
     // core::RestartBudget), optionally SIGKILLing one replica on schedule
     // to exercise the crash path. With SS_PROACTIVE_PERIOD=<ms> it also
-    // reincarnates one replica per period round-robin (proactive recovery:
-    // durable reboot + fresh key epoch), only when the whole group is up,
-    // and without charging the restart budget — a scheduled kill is not a
-    // crash. The HMI's exit ends the run as before.
+    // drives core::ProactiveRecovery: SIGKILL, reap and respawn whichever
+    // replica the policy names (durable reboot + fresh key epoch), without
+    // charging the restart budget — a scheduled kill is not a crash. The
+    // HMI's exit ends the run as before.
     std::vector<core::RestartBudget> budget(group.n);
     for (std::uint32_t i = 0; i < group.n; ++i) budget[i].on_start(0);
     std::vector<long> restart_at_ms(group.n, -1);
-    std::vector<bool> proactive_kill(group.n, false);
     // --campaign: rolling process-level faults against the live group —
     // SIGSTOP/SIGCONT freezes (the socket-mode stand-in for a gray,
     // slow-but-correct replica) alternating with SIGKILL + supervised
@@ -734,16 +751,30 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
     long next_campaign_ms = 2000;
     std::uint32_t campaign_phase = 0;
     std::vector<long> stopped_until_ms(group.n, -1);
-    long proactive_period_ms = 0;
-    if (const char* period = std::getenv("SS_PROACTIVE_PERIOD")) {
-      proactive_period_ms = std::strtol(period, nullptr, 10);
+    std::optional<core::ProactiveRecovery> proactive;
+    if (sup.proactive_period_ms > 0) {
+      proactive.emplace(group.n, core::ProactiveRecoveryOptions{
+                                     millis(sup.proactive_period_ms),
+                                     millis(200)});
     }
-    long next_proactive_ms = proactive_period_ms;
-    std::uint32_t proactive_next = 0;
-    std::uint32_t reincarnations = 0;
     long elapsed_ms = 0;
-    bool kill_fired = sup.kill_replica < 0 ||
-                      sup.kill_replica >= static_cast<int>(group.n);
+    // Down: dead, awaiting a restart, or frozen by the campaign.
+    auto is_down = [&](std::uint32_t i) {
+      return replica_pid[i] <= 0 || restart_at_ms[i] >= 0 ||
+             stopped_until_ms[i] >= 0;
+    };
+    auto kill_and_reap = [&](std::uint32_t i) {
+      ::kill(replica_pid[i], SIGKILL);
+      ::waitpid(replica_pid[i], nullptr, 0);
+      replica_pid[i] = -1;
+    };
+    auto restart = [&](std::uint32_t i) {
+      std::printf("deploy: supervisor restarts replica/%u (attempt %u)\n", i,
+                  budget[i].attempts());
+      spawn_replica(i);
+      budget[i].on_start(elapsed_ms);
+    };
+    bool kill_fired = sup.kill_replica < 0;
     bool hmi_done = false;
     while (!hmi_done) {
       ::usleep(50 * 1000);
@@ -759,23 +790,15 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
           ::kill(replica_pid[sup.kill_replica], SIGKILL);
         }
       }
-      if (proactive_period_ms > 0 && elapsed_ms >= next_proactive_ms) {
-        next_proactive_ms += proactive_period_ms;
-        // Only reincarnate with every replica up and no restart pending:
-        // the scheduler must never push the group past its fault budget.
-        bool all_up = true;
-        for (std::uint32_t i = 0; i < group.n; ++i) {
-          if (replica_pid[i] <= 0 || restart_at_ms[i] >= 0) all_up = false;
-        }
-        if (all_up) {
-          std::uint32_t victim = proactive_next;
-          proactive_next = (proactive_next + 1) % group.n;
-          ++reincarnations;
-          proactive_kill[victim] = true;
+      if (proactive) {
+        const SimTime now = millis(elapsed_ms);
+        if (auto victim = proactive->restore_due(now)) restart(*victim);
+        if (auto victim = proactive->kill_due(now, is_down)) {
           std::printf(
-              "deploy: proactive reincarnation #%u of replica/%u at %ld ms\n",
-              reincarnations, victim, elapsed_ms);
-          ::kill(replica_pid[victim], SIGKILL);
+              "deploy: proactive reincarnation #%llu of replica/%u at %ld ms\n",
+              (unsigned long long)proactive->stats().recoveries, *victim,
+              elapsed_ms);
+          kill_and_reap(*victim);
         }
       }
       if (campaign_ms > 0 && elapsed_ms < campaign_ms &&
@@ -784,12 +807,7 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
         // Inject only with the whole group healthy: one victim at a time
         // keeps the soak within the f-fault budget.
         bool all_up = true;
-        for (std::uint32_t i = 0; i < group.n; ++i) {
-          if (replica_pid[i] <= 0 || restart_at_ms[i] >= 0 ||
-              stopped_until_ms[i] >= 0) {
-            all_up = false;
-          }
-        }
+        for (std::uint32_t i = 0; i < group.n; ++i) all_up &= !is_down(i);
         if (all_up) {
           std::uint32_t victim = campaign_phase % group.n;
           switch (campaign_phase % 3) {
@@ -803,8 +821,10 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
             case 1:
               std::printf("deploy: campaign SIGKILLs replica/%u at %ld ms\n",
                           victim, elapsed_ms);
-              proactive_kill[victim] = true;  // scheduled, not a crash
-              ::kill(replica_pid[victim], SIGKILL);
+              // Scheduled, not a crash: short fixed downtime, no budget
+              // charge (only real crashes count against it).
+              kill_and_reap(victim);
+              restart_at_ms[victim] = elapsed_ms + 200;
               break;
             case 2:
               std::printf("deploy: campaign stalls replica/%u for 1500 ms "
@@ -828,10 +848,7 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
       for (std::uint32_t i = 0; i < group.n; ++i) {
         if (restart_at_ms[i] >= 0 && elapsed_ms >= restart_at_ms[i]) {
           restart_at_ms[i] = -1;
-          std::printf("deploy: supervisor restarts replica/%u (attempt %u)\n",
-                      i, budget[i].attempts());
-          spawn_replica(i);
-          budget[i].on_start(elapsed_ms);
+          restart(i);
         }
       }
       int child_status = 0;
@@ -845,13 +862,7 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
         for (std::uint32_t i = 0; i < group.n; ++i) {
           if (pid != replica_pid[i]) continue;
           replica_pid[i] = -1;
-          if (proactive_kill[i]) {
-            // Scheduled reincarnation: short fixed downtime, no budget
-            // charge (only real crashes count against it).
-            proactive_kill[i] = false;
-            restart_at_ms[i] = elapsed_ms + 200;
-          } else if (long backoff = budget[i].on_death(elapsed_ms);
-                     backoff < 0) {
+          if (long backoff = budget[i].on_death(elapsed_ms); backoff < 0) {
             std::fprintf(stderr,
                          "deploy: replica/%u died %u times, giving up on it\n",
                          i, budget[i].attempts());
@@ -877,9 +888,25 @@ int run_local(const char* self, std::uint32_t f, std::uint16_t base_port,
         ::kill(replica_pid[i], SIGCONT);
       }
     }
-    if (proactive_period_ms > 0) {
-      std::printf("deploy: %u proactive reincarnations completed\n",
-                  reincarnations);
+    // Never strand a replica at teardown: a restart still pending (crash
+    // backoff, campaign or proactive downtime) happens now, so the audit
+    // finds its final checkpoint.
+    for (std::uint32_t i = 0; i < group.n; ++i) {
+      if (restart_at_ms[i] >= 0) restart(i);
+    }
+    if (proactive) {
+      if (auto victim = proactive->stop()) restart(*victim);
+      std::printf("deploy: %llu proactive reincarnations completed\n",
+                  (unsigned long long)proactive->stats().recoveries);
+    }
+  }
+
+  // A replica TERMed before it installs its handler dies without writing
+  // its final checkpoint; give a just-(re)started one the moment it needs.
+  for (pid_t pid : replica_pid) {
+    for (int tries = 0; pid > 0 && tries < 500 && !ready_for_term(pid);
+         ++tries) {
+      ::usleep(10 * 1000);
     }
   }
 
@@ -928,6 +955,7 @@ int usage() {
       stderr,
       "usage: deploy local [--f N] [--base-port P] [--supervise]\n"
       "                    [--kill-replica I] [--kill-after MS] [--rounds N]\n"
+      "                                      (--kill-replica implies --supervise)\n"
       "                    [--campaign SECS]  rolling-fault soak: SIGSTOP\n"
       "                                      freezes + SIGKILL/restart cycles\n"
       "                                      until SECS elapse, then heal;\n"
@@ -941,9 +969,9 @@ int usage() {
       "env:   SS_STATE_DIR=<dir>            durable replica state (WAL +\n"
       "                                     checkpoints) under <dir>/replica-<id>\n"
       "       SS_CHECKPOINT_INTERVAL=<n>    checkpoint every n decisions\n"
-      "       SS_PROACTIVE_PERIOD=<ms>      with --supervise: reincarnate one\n"
-      "                                     replica per period round-robin\n"
-      "                                     (durable reboot + fresh key epoch)\n"
+      "       SS_PROACTIVE_PERIOD=<ms>      reincarnate one replica per period\n"
+      "                                     round-robin (durable reboot + fresh\n"
+      "                                     key epoch; implies --supervise)\n"
       "       SS_ALARM_THRESHOLD=<v>        attach a Monitor (alarm above v)\n"
       "                                     to the temperature point\n"
       "       SS_RUNNER=inline|pooled:N|spin:N\n"
@@ -1017,9 +1045,20 @@ int main(int argc, char** argv) {
       sup.rounds = static_cast<std::uint32_t>(2 * sup.campaign_secs + 8);
     }
   }
+  if (const char* period = std::getenv("SS_PROACTIVE_PERIOD")) {
+    sup.proactive_period_ms = std::strtol(period, nullptr, 10);
+  }
+  // Injected kills and proactive reincarnations are the supervisor's work:
+  // asking for either without --supervise would silently inject nothing.
+  if (sup.kill_replica >= 0 || sup.proactive_period_ms > 0) sup.enabled = true;
 
   try {
-    if (role == "local") return run_local(argv[0], f, base_port, sup);
+    if (role == "local") {
+      if (sup.kill_replica >= static_cast<int>(core::group_from_env(f).n)) {
+        return usage();
+      }
+      return run_local(argv[0], f, base_port, sup);
+    }
     if (role == "config") {
       std::fputs(make_resolver(core::group_from_env(f).n, "127.0.0.1",
                                base_port ? base_port : 47000)

@@ -1,5 +1,7 @@
 #include "storage/replica_storage.h"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
 
@@ -96,6 +98,14 @@ void ReplicaStorage::note_recovery(std::uint64_t duration_ns,
   obs::Registry::instance()
       .histogram("storage.recovery_ns")
       .record(static_cast<std::int64_t>(duration_ns));
+}
+
+void remove_replica_state_dir(const std::string& dir) {
+  for (const char* file :
+       {"/snapshot", "/snapshot.tmp", "/wal", "/wal.tmp", "/epoch", "/usig"}) {
+    ::unlink((dir + file).c_str());
+  }
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace ss::storage

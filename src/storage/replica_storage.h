@@ -6,6 +6,8 @@
 //   snapshot.tmp   — transient, only during a checkpoint write
 //   wal            — decided batches since that checkpoint (see wal.h)
 //   wal.tmp        — transient, only during a WAL truncation
+//   epoch          — durable session-key epoch (bump_epoch)
+//   usig           — durable USIG counter lease (MinBFT only)
 //
 // The ordering invariant the two files maintain together: the WAL record
 // for cid is durable BEFORE the decision executes, and the WAL is truncated
@@ -87,5 +89,10 @@ class ReplicaStorage {
   ReplicaStorageStats stats_;
   obs::SourceHandle metrics_;
 };
+
+/// Removes a real (POSIX) replica state dir together with every file listed
+/// in the layout above — for callers that made the dir as scratch space. A
+/// dir that also holds foreign files is left in place.
+void remove_replica_state_dir(const std::string& dir);
 
 }  // namespace ss::storage

@@ -1,15 +1,157 @@
-// Tests for the proactive-recovery scheduler: rolling durable reincarnation
-// under live traffic (reboot from checkpoint + WAL replay + key-epoch bump),
-// fault-budget safety, the stop()-during-downtime regression, and the sim
-// substrate's queueing sanity (delivered throughput saturates at modeled
-// capacity).
+// Tests for the proactive-recovery policy (core::ProactiveRecovery):
+// clock-free unit cases for its rules (fault-budget gate, round-robin,
+// period grid, stop()), then the policy driven on the simulator — rolling
+// durable reincarnation under live traffic (reboot from checkpoint + WAL
+// replay + key-epoch bump), fault-budget safety, the stop()-during-downtime
+// regression — and the sim substrate's queueing sanity (delivered
+// throughput saturates at modeled capacity).
 #include <gtest/gtest.h>
 
-#include "core/recovery_scheduler.h"
+#include <vector>
+
+#include "core/proactive_recovery.h"
 #include "core/replicated_deployment.h"
+#include "obs/metrics.h"
 
 namespace ss::core {
 namespace {
+
+// ---------------------------------------------------------------------------
+// The policy alone: no clock, no deployment.
+
+bool none_down(std::uint32_t) { return false; }
+
+TEST(ProactiveRecoveryPolicy, NoKillWhileAnyReplicaDownOrPending) {
+  ProactiveRecovery policy(4, {.period = seconds(1), .downtime = seconds(5)});
+  std::vector<bool> down(4, false);
+  auto is_down = [&down](std::uint32_t i) { return down[i]; };
+
+  down[3] = true;  // an external fault
+  EXPECT_FALSE(policy.kill_due(seconds(1), is_down).has_value());
+  down[3] = false;
+  EXPECT_EQ(policy.kill_due(seconds(2), is_down), 0u);
+  // Replica 0 is inside its downtime: even a caller that reports every
+  // replica up gets no second victim until it is restored.
+  EXPECT_FALSE(policy.kill_due(seconds(3), none_down).has_value());
+  EXPECT_FALSE(policy.restore_due(seconds(7) - 1).has_value());
+  EXPECT_EQ(policy.restore_due(seconds(7)), 0u);
+  EXPECT_FALSE(policy.restore_due(seconds(7)).has_value());
+  EXPECT_EQ(policy.kill_due(seconds(8), none_down), 1u);
+  EXPECT_EQ(policy.stats().recoveries, 2u);
+  EXPECT_EQ(policy.stats().skipped_unhealthy, 2u);
+}
+
+TEST(ProactiveRecoveryPolicy, SkipDoesNotAdvanceRoundRobin) {
+  // A MinBFT-sized group: the round-robin wraps at n = 3.
+  ProactiveRecovery policy(3, {.period = seconds(1), .downtime = millis(100)});
+  std::vector<bool> down(3, false);
+  auto is_down = [&down](std::uint32_t i) { return down[i]; };
+  std::vector<std::uint32_t> victims;
+  for (std::int64_t t = 1; t <= 5; ++t) {
+    down[2] = t == 2;  // replica 2 is down during the second grid point
+    if (auto victim = policy.kill_due(seconds(t), is_down)) {
+      victims.push_back(*victim);
+      EXPECT_EQ(policy.restore_due(seconds(t) + millis(100)), *victim);
+    }
+  }
+  EXPECT_EQ(victims, (std::vector<std::uint32_t>{0, 1, 2, 0}));
+  EXPECT_EQ(policy.stats().skipped_unhealthy, 1u);
+}
+
+TEST(ProactiveRecoveryPolicy, KillsLandOnThePeriodGrid) {
+  ProactiveRecovery policy(4, {.period = seconds(10), .downtime = seconds(1)},
+                           /*start=*/seconds(3));
+  EXPECT_EQ(policy.next_deadline(), seconds(13));
+  EXPECT_FALSE(policy.kill_due(seconds(13) - 1, none_down).has_value());
+  EXPECT_EQ(policy.kill_due(seconds(13), none_down), 0u);
+  EXPECT_EQ(policy.next_deadline(), seconds(14));  // the restore
+  EXPECT_EQ(policy.restore_due(seconds(14)), 0u);
+  EXPECT_EQ(policy.next_deadline(), seconds(23));
+  // A late poll fires once, not once per missed grid point, and does not
+  // shift the grid.
+  EXPECT_EQ(policy.kill_due(seconds(45), none_down), 1u);
+  EXPECT_EQ(policy.restore_due(seconds(46)), 1u);
+  EXPECT_EQ(policy.next_deadline(), seconds(53));
+  EXPECT_EQ(policy.stats().recoveries, 2u);
+  EXPECT_EQ(policy.stats().skipped_unhealthy, 0u);
+}
+
+TEST(ProactiveRecoveryPolicy, StopReturnsDownVictimExactlyOnce) {
+  ProactiveRecovery idle(4, {.period = seconds(1), .downtime = seconds(1)});
+  EXPECT_FALSE(idle.stop().has_value());
+
+  ProactiveRecovery policy(4, {.period = seconds(1), .downtime = seconds(30)});
+  EXPECT_EQ(policy.kill_due(seconds(1), none_down), 0u);
+  EXPECT_EQ(policy.stop(), 0u);
+  EXPECT_FALSE(policy.stop().has_value());
+  // Stopped: the victim is not handed out again, and nothing new is due.
+  EXPECT_FALSE(policy.restore_due(seconds(60)).has_value());
+  EXPECT_FALSE(policy.kill_due(seconds(60), none_down).has_value());
+  EXPECT_FALSE(policy.next_deadline().has_value());
+}
+
+// ---------------------------------------------------------------------------
+// The policy driven on the simulator.
+
+/// The simulator's proactive-recovery driver: one event-loop timer armed at
+/// the policy's next deadline. A kill is a durable process kill (reboot
+/// from checkpoint + WAL on restore), or a volatile crash when the
+/// deployment is not durable.
+class SimRecoveryDriver {
+ public:
+  SimRecoveryDriver(ReplicatedDeployment& deployment,
+                    ProactiveRecoveryOptions options)
+      : dep_(deployment),
+        policy_(deployment.replica(0).quorum_config().n, options,
+                deployment.loop().now()) {
+    arm();
+  }
+
+  void stop() {
+    if (auto victim = policy_.stop()) bring_back(*victim);
+  }
+
+  const ProactiveRecoveryStats& stats() const { return policy_.stats(); }
+
+ private:
+  void arm() {
+    if (auto at = policy_.next_deadline()) {
+      dep_.loop().schedule_at(*at, [this] { poll(); });
+    }
+  }
+
+  void poll() {
+    SimTime now = dep_.loop().now();
+    if (auto victim = policy_.restore_due(now)) bring_back(*victim);
+    auto crashed = [this](std::uint32_t i) {
+      return dep_.replica(i).crashed();
+    };
+    if (auto victim = policy_.kill_due(now, crashed)) {
+      went_down_at_ = now;
+      if (dep_.durable()) {
+        dep_.kill_replica_process(*victim);
+      } else {
+        dep_.crash_replica(*victim);
+      }
+    }
+    arm();
+  }
+
+  void bring_back(std::uint32_t victim) {
+    if (dep_.durable() && dep_.replica_killed(victim)) {
+      dep_.restart_replica_process(victim);
+    } else if (dep_.replica(victim).crashed()) {
+      dep_.recover_replica(victim);
+    }
+    obs::Registry::instance()
+        .histogram("recovery.reincarnation_ns")
+        .record(static_cast<std::int64_t>(dep_.loop().now() - went_down_at_));
+  }
+
+  ReplicatedDeployment& dep_;
+  ProactiveRecovery policy_;
+  SimTime went_down_at_ = 0;
+};
 
 ReplicatedOptions fast_options() {
   ReplicatedOptions options;
@@ -25,18 +167,17 @@ ReplicatedOptions durable_options() {
   return options;
 }
 
-TEST(RecoveryScheduler, RollingReincarnationKeepsServiceLive) {
+TEST(ProactiveRecovery, RollingReincarnationKeepsServiceLive) {
   ReplicatedDeployment system(durable_options());
   ItemId item = system.add_point("sensor");
   system.start();
 
-  RecoverySchedulerOptions options;
+  ProactiveRecoveryOptions options;
   options.period = seconds(4);
   options.downtime = seconds(1);  // long enough to miss decisions
-  RecoveryScheduler scheduler(system, options);
-  scheduler.start();
+  SimRecoveryDriver recovery(system, options);
 
-  // ~24 s of traffic: the scheduler reincarnates ~6 replicas (1.5 cycles).
+  // ~24 s of traffic: the policy reincarnates ~6 replicas (1.5 cycles).
   int sent = 0;
   for (int i = 0; i < 120; ++i) {
     system.frontend().field_update(item, scada::Variant{double(i)});
@@ -45,12 +186,12 @@ TEST(RecoveryScheduler, RollingReincarnationKeepsServiceLive) {
   }
   system.run_until(system.loop().now() + seconds(5));
 
-  EXPECT_GE(scheduler.stats().recoveries, 5u);
+  EXPECT_GE(recovery.stats().recoveries, 5u);
   // Every update made it through despite the rolling restarts.
   EXPECT_EQ(system.hmi().counters().updates_received,
             static_cast<std::uint64_t>(sent));
   // Each reincarnation was a durable process restart: every replica the
-  // scheduler cycled through carries a fresh (bumped) key epoch and went
+  // policy cycled through carries a fresh (bumped) key epoch and went
   // through at least one state transfer.
   std::uint64_t transfers = 0;
   std::uint32_t epoch_bumped = 0;
@@ -68,11 +209,11 @@ TEST(RecoveryScheduler, RollingReincarnationKeepsServiceLive) {
   EXPECT_TRUE(system.masters_converged());
 }
 
-// Under MinBFT the group is 2f+1 = 3 replicas; the scheduler's round-robin
-// must cycle over exactly those 3 (it asks the engine's quorum_config() for
-// the group size instead of assuming 3f+1). One full cycle of rolling
+// Under MinBFT the group is 2f+1 = 3 replicas; the policy's round-robin
+// must cycle over exactly those 3 (the driver sizes it from the engine's
+// quorum_config() instead of assuming 3f+1). One full cycle of rolling
 // reincarnation, every update still delivered.
-TEST(RecoveryScheduler, MinBftGroupReincarnatesAllReplicas) {
+TEST(ProactiveRecovery, MinBftGroupReincarnatesAllReplicas) {
   ReplicatedOptions deployment_options = durable_options();
   deployment_options.group = GroupConfig::for_protocol(Protocol::kMinBft, 1);
   ReplicatedDeployment system(deployment_options);
@@ -80,11 +221,10 @@ TEST(RecoveryScheduler, MinBftGroupReincarnatesAllReplicas) {
   ItemId item = system.add_point("sensor");
   system.start();
 
-  RecoverySchedulerOptions options;
+  ProactiveRecoveryOptions options;
   options.period = seconds(4);
   options.downtime = seconds(1);
-  RecoveryScheduler scheduler(system, options);
-  scheduler.start();
+  SimRecoveryDriver recovery(system, options);
 
   int sent = 0;
   for (int i = 0; i < 90; ++i) {
@@ -95,7 +235,7 @@ TEST(RecoveryScheduler, MinBftGroupReincarnatesAllReplicas) {
   system.run_until(system.loop().now() + seconds(5));
 
   // ~18 s of traffic at a 4 s period: at least one full 3-replica cycle.
-  EXPECT_GE(scheduler.stats().recoveries, 3u);
+  EXPECT_GE(recovery.stats().recoveries, 3u);
   EXPECT_EQ(system.hmi().counters().updates_received,
             static_cast<std::uint64_t>(sent));
   std::uint32_t epoch_bumped = 0;
@@ -110,7 +250,7 @@ TEST(RecoveryScheduler, MinBftGroupReincarnatesAllReplicas) {
   EXPECT_TRUE(system.masters_converged());
 }
 
-TEST(RecoveryScheduler, NeverExceedsFaultBudget) {
+TEST(ProactiveRecovery, NeverExceedsFaultBudget) {
   ReplicatedDeployment system(fast_options());
   ItemId item = system.add_point("sensor");
   system.start();
@@ -118,16 +258,15 @@ TEST(RecoveryScheduler, NeverExceedsFaultBudget) {
   // Replica 2 is already down for external reasons.
   system.crash_replica(2);
 
-  RecoverySchedulerOptions options;
+  ProactiveRecoveryOptions options;
   options.period = seconds(2);
   options.downtime = seconds(1);
-  RecoveryScheduler scheduler(system, options);
-  scheduler.start();
+  SimRecoveryDriver recovery(system, options);
 
   system.run_until(system.loop().now() + seconds(10));
-  // The scheduler refused to take a second replica down.
-  EXPECT_EQ(scheduler.stats().recoveries, 0u);
-  EXPECT_GE(scheduler.stats().skipped_unhealthy, 4u);
+  // The policy refused to take a second replica down.
+  EXPECT_EQ(recovery.stats().recoveries, 0u);
+  EXPECT_GE(recovery.stats().skipped_unhealthy, 4u);
 
   // Service continued on the remaining 3 replicas throughout.
   system.frontend().field_update(item, scada::Variant{1.0});
@@ -137,23 +276,22 @@ TEST(RecoveryScheduler, NeverExceedsFaultBudget) {
   // Once the external fault heals, reincarnation resumes.
   system.recover_replica(2);
   system.run_until(system.loop().now() + seconds(6));
-  EXPECT_GE(scheduler.stats().recoveries, 1u);
+  EXPECT_GE(recovery.stats().recoveries, 1u);
 }
 
 // Regression: stop() used to leave a victim stranded when it landed inside
-// the downtime window — the pending recover callback bailed on stopped_
-// after crash() had already run, and nothing else ever brought the replica
-// back. stop() must recover the in-flight victim immediately.
-TEST(RecoveryScheduler, StopDuringDowntimeBringsVictimBack) {
+// the downtime window — the pending restore bailed once stopped, after the
+// kill had already run, and nothing else ever brought the replica back.
+// stop() must hand the in-flight victim back for an immediate restore.
+TEST(ProactiveRecovery, StopDuringDowntimeBringsVictimBack) {
   ReplicatedDeployment system(durable_options());
   ItemId item = system.add_point("sensor");
   system.start();
 
-  RecoverySchedulerOptions options;
+  ProactiveRecoveryOptions options;
   options.period = seconds(1);
   options.downtime = seconds(30);  // stop() will land inside this window
-  RecoveryScheduler scheduler(system, options);
-  scheduler.start();
+  SimRecoveryDriver recovery(system, options);
 
   // Run past the first tick: one replica is now down for "30 s".
   system.run_until(system.loop().now() + millis(1500));
@@ -163,12 +301,12 @@ TEST(RecoveryScheduler, StopDuringDowntimeBringsVictimBack) {
   }
   ASSERT_EQ(crashed, 1u);
 
-  scheduler.stop();
+  recovery.stop();
   for (std::uint32_t i = 0; i < system.n(); ++i) {
     EXPECT_FALSE(system.replica(i).crashed());
   }
 
-  // The original downtime callback still fires later; it must stay a no-op
+  // The driver's armed timer still fires later; it must stay a no-op
   // and the group must serve traffic with all four replicas.
   system.run_until(system.loop().now() + seconds(31));
   for (std::uint32_t i = 0; i < system.n(); ++i) {

@@ -318,5 +318,27 @@ TEST(PosixEnv, WalAndCheckpointRoundtripOnRealFiles) {
   ASSERT_EQ(std::system(cleanup.c_str()), 0);
 }
 
+TEST(PosixEnv, RemoveReplicaStateDirLeavesNothingBehind) {
+  char tmpl[] = "/tmp/ss_storage_test_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = std::string(tmpl) + "/replica-0";
+
+  PosixEnv env;
+  {
+    ReplicaStorage store(env, dir, "storage/test-posix-remove");
+    store.append_decision(ConsensusId{1}, payload_of("b1"));
+    store.write_checkpoint(sample_checkpoint());
+    store.append_decision(ConsensusId{43}, payload_of("b43"));
+    store.bump_epoch();
+    store.write_usig_lease(64);
+  }
+  // A checkpoint write interrupted by a crash leaves its tmp file behind.
+  env.write_file(dir + "/snapshot.tmp", payload_of("torn"));
+
+  remove_replica_state_dir(dir);
+  EXPECT_FALSE(env.file_exists(dir));
+  EXPECT_EQ(::rmdir(tmpl), 0);  // the parent is empty again
+}
+
 }  // namespace
 }  // namespace ss::storage
